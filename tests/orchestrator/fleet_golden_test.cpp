@@ -236,6 +236,20 @@ TEST(FleetGolden, EvalMatchesWindowSynchronousEngine) {
   expect_matches_golden("eval_fleet-smoke", eval_to_text(report));
 }
 
+TEST(FleetGolden, ChurnEvalMatchesPinnedHistory) {
+  // Eval-layer coverage of a churning multi-chain fleet: nodes host the
+  // interleaved initial chains (flow i serves chain i % num_chains) next to
+  // mid-run arrivals, so every rebuild's partition must keep the fleet's
+  // global flow order for the per-node traffic draws to stay put.
+  scenario::ScenarioSpec spec;
+  for (const auto& cell : timeline_cells())
+    if (cell.name == "fleet-churn") spec = cell.spec;
+  FleetOrchestrator orchestrator(spec);
+  const FleetReport report = orchestrator.run(scenario::filter_roster(
+      scenario::untrained_roster(spec), "baseline,ee-pstate"));
+  expect_matches_golden("eval_fleet-churn", eval_to_text(report));
+}
+
 TEST(FleetGolden, TopologyEvalMatchesPinnedHistory) {
   // Same eval-layer coverage with the fabric on: link energy folded into
   // the decomposition, path-latency series, and the conjunctive latency
