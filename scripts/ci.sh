@@ -169,6 +169,15 @@ if [ "$history_after" -ge 2 ] && \
 fi
 
 echo
+echo "=== [1c11] churning fleet end to end: 1000 nodes, ~15k arrivals ==="
+# The fleet-churn geometry through run_model with the untrained roster:
+# ~23k node-env rebuilds, each partitioned through the chain -> flow
+# index and built from NF cost profiles. About a second; a rebuild path
+# that scans every flow or builds packet-path NFs again shows here.
+./build/example_run_scenario scenario=mega-fleet nodes=1000 \
+  fleet.arrival_rate=250 fleet.horizon=60 models=Baseline,Heuristics
+
+echo
 echo "=== [1d] RL training microbench: smoke mode + baseline check ==="
 # Smoke-sized run of the batched training engine (train_steps/sec,
 # actions/sec -> out/BENCH_train.json). The baseline comparison warns —
@@ -189,14 +198,16 @@ cmake --build build-asan -j "$JOBS"
 
 # The threaded data path and the event engine's pooled allocators are the
 # sanitizer-critical surfaces; run their suites explicitly (pattern match
-# keeps this in sync as suites are added), then the rest of the tree.
+# keeps this in sync as suites are added), then the rest of the tree. The
+# nfvsim pattern covers ProfileTable (lazily built functional chains); the
+# partition suites index into the fleet flow list.
 export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" -R '^nfvsim\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -R '^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -R '^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^scenario\.(ChainFlowIndex|PartitionProperty)\.|^topology\.|^telemetry\.')
 (cd build-asan && ctest --output-on-failure --no-tests=error -j "$JOBS" \
-  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^topology\.|^telemetry\.')
+  -E '^nfvsim\.|^common\.(Arena|ArenaAllocator|BucketQueue|EventHeap)\.|^orchestrator\.(FleetGolden|FleetDeterminism|FleetFault|FleetTopology|FleetWakeRegression)\.|^scenario\.(ChainFlowIndex|PartitionProperty)\.|^topology\.|^telemetry\.')
 
 echo
 echo "ci.sh: all green"

@@ -15,7 +15,10 @@
 /// partitioning, and translates its state into hwmodel deployments for the
 /// analytic engine. GreenNFV's NF controller (core/nf_controller) issues
 /// `apply_knobs` calls against this class — the same interface the paper
-/// added to the ONVM controller.
+/// added to the ONVM controller. The analytic model reads only each
+/// chain's NF cost profiles, resolved once per chain; the functional chain
+/// (NF objects and packet rings) is built on first use of chain(), which
+/// the threaded engine makes.
 
 namespace greennfv::nfvsim {
 
@@ -33,14 +36,15 @@ class OnvmController {
                           SchedMode mode = SchedMode::kHybrid);
 
   /// Deploys a chain built from NF catalog names; returns its index.
+  /// Throws std::invalid_argument on an unknown name.
   int add_chain(const std::string& name,
                 const std::vector<std::string>& nf_names);
 
   [[nodiscard]] std::size_t num_chains() const { return chains_.size(); }
-  [[nodiscard]] ServiceChain& chain(std::size_t i) { return *chains_.at(i); }
-  [[nodiscard]] const ServiceChain& chain(std::size_t i) const {
-    return *chains_.at(i);
-  }
+
+  /// The functional chain, built on the first call for index `i`. Not
+  /// thread-safe: callers that share it across threads fetch it first.
+  [[nodiscard]] ServiceChain& chain(std::size_t i);
 
   /// Applies a knob configuration to one chain: clamps to hardware limits
   /// and snaps the frequency to the DVFS ladder. Returns what was applied.
@@ -70,7 +74,13 @@ class OnvmController {
   hwmodel::DvfsController dvfs_;
   SchedMode sched_mode_;
   bool use_cat_ = true;
-  std::vector<std::unique_ptr<ServiceChain>> chains_;
+  struct Chain {
+    std::string name;
+    std::vector<std::string> nf_names;
+    std::vector<hwmodel::NfCostProfile> nfs;
+    std::unique_ptr<ServiceChain> functional;  ///< built by chain()
+  };
+  std::vector<Chain> chains_;
   std::vector<ChainKnobs> knobs_;
 };
 

@@ -41,13 +41,19 @@ ThreadedRunReport ThreadedEngine::run(
   for (auto& c : consumed) c.store(0);
 
   const bool hybrid = controller_.sched_mode() == SchedMode::kHybrid;
+  // Fetched here, before any thread starts: chain() builds a functional
+  // chain on first use and is not thread-safe.
+  std::vector<ServiceChain*> chains;
+  chains.reserve(n_chains);
+  for (std::size_t c = 0; c < n_chains; ++c)
+    chains.push_back(&controller_.chain(c));
 
   // --- worker threads: one per chain -----------------------------------------
   std::vector<std::thread> workers;
   workers.reserve(n_chains);
   for (std::size_t c = 0; c < n_chains; ++c) {
     workers.emplace_back([&, c] {
-      ServiceChain& chain = controller_.chain(c);
+      ServiceChain& chain = *chains[c];
       SpscRing<Packet*>& rx = chain.ring(0);
       const std::uint32_t batch = controller_.knobs(c).batch;
       std::vector<Packet*> burst(batch);
@@ -114,10 +120,8 @@ ThreadedRunReport ThreadedEngine::run(
         pkt->ttl = 64;
         pkt->payload_digest = pkt->id * 0x9E3779B97F4A7C15ull;
 
-        SpscRing<Packet*>& rx = controller_
-                                    .chain(static_cast<std::size_t>(
-                                        flow.chain_index))
-                                    .ring(0);
+        SpscRing<Packet*>& rx =
+            chains[static_cast<std::size_t>(flow.chain_index)]->ring(0);
         // Bounded retry: real NICs buffer briefly, then tail-drop.
         bool pushed = false;
         for (int attempt = 0; attempt < 128 && !pushed; ++attempt) {

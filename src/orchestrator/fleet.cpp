@@ -159,25 +159,29 @@ void FleetOrchestrator::build_timeline() {
   // --- the initial chain set (the scenario's static topology) -------------
   const auto comps = scenario::resolved_chain_nfs(spec_);
   timeline_.flows = scenario::resolved_flows(spec_);
-  for (int c = 0; c < spec_.num_chains; ++c) {
-    ChainInstance chain;
-    chain.id = c;
-    chain.nfs = comps[static_cast<std::size_t>(c)];
-    // Algorithm 1 line 1 allocates one core per NF.
-    chain.cores = static_cast<double>(chain.nfs.size());
-    for (const auto& flow : timeline_.flows) {
-      if (flow.chain_index != c) continue;
-      chain.flows.push_back(flow);
-      chain.offered_gbps += flow.mean_rate_gbps();
-      chain.offered_pps += flow.mean_rate_pps;
+  {
+    // Scoped: arrivals append to timeline_.flows below.
+    const scenario::ChainFlowIndex initial_flows(timeline_.flows);
+    for (int c = 0; c < spec_.num_chains; ++c) {
+      ChainInstance chain;
+      chain.id = c;
+      chain.nfs = comps[static_cast<std::size_t>(c)];
+      // Algorithm 1 line 1 allocates one core per NF.
+      chain.cores = static_cast<double>(chain.nfs.size());
+      for (const std::uint32_t f : initial_flows.of(c)) {
+        const traffic::FlowSpec& flow = timeline_.flows[f];
+        chain.flows.push_back(flow);
+        chain.offered_gbps += flow.mean_rate_gbps();
+        chain.offered_pps += flow.mean_rate_pps;
+      }
+      if (chain.flows.empty()) {
+        throw std::invalid_argument(format(
+            "orchestrator: initial chain %d receives no flows (fleet runs"
+            " need traffic on every initial chain)",
+            c));
+      }
+      timeline_.chains.push_back(std::move(chain));
     }
-    if (chain.flows.empty()) {
-      throw std::invalid_argument(format(
-          "orchestrator: initial chain %d receives no flows (fleet runs"
-          " need traffic on every initial chain)",
-          c));
-    }
-    timeline_.chains.push_back(std::move(chain));
   }
 
   // Minimum one window of residency; exponential holding beyond that.
@@ -450,9 +454,8 @@ void FleetOrchestrator::build_timeline() {
             timeline_.chains.push_back(std::move(chain));
             ChainInstance& arrived = timeline_.chains.back();
             place(arrived.id, w, win);
-            // A rejected chain never joins the flow pool — its flows
-            // would otherwise be dead weight re-scanned on every
-            // node-env rebuild.
+            // A rejected chain never runs, so its flows stay out of the
+            // fleet flow list.
             if (arrived.first_node >= 0) {
               timeline_.flows.insert(timeline_.flows.end(),
                                      arrived.flows.begin(),
@@ -665,6 +668,7 @@ scenario::ModelReport FleetOrchestrator::run_model(
   comps.reserve(timeline_.chains.size());
   for (const ChainInstance& chain : timeline_.chains)
     comps.push_back(chain.nfs);
+  const scenario::ChainFlowIndex flows_by_chain(timeline_.flows);
 
   // The static single-node fleet takes the exact ExperimentRunner path:
   // the whole-deployment EnvConfig (flows resolved inside the environment
@@ -721,7 +725,7 @@ scenario::ModelReport FleetOrchestrator::run_model(
       core::EnvConfig env_config =
           degenerate ? spec_.env_config()
                      : scenario::partition_node_env(
-                           spec_, comps, timeline_.flows, members, n);
+                           spec_, comps, flows_by_chain, members, n);
       const std::uint64_t env_seed =
           scenario::node_eval_seed(spec_, static_cast<std::size_t>(n)) +
           kEpochSeedStride * static_cast<std::uint64_t>(rt.epochs);

@@ -116,8 +116,8 @@ struct FleetTimeline {
   int num_nodes = 0;
   /// Every chain ever seen, indexed by id.
   std::vector<ChainInstance> chains;
-  /// Fleet-wide flow list in arrival order (chain_index = chain id) —
-  /// the form scenario::partition_node_env consumes.
+  /// Fleet-wide flow list in arrival order (chain_index = chain id);
+  /// rejected chains' flows are left out.
   std::vector<traffic::FlowSpec> flows;
 
   int arrivals = 0;

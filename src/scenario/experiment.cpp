@@ -1,10 +1,13 @@
 #include "scenario/experiment.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <stdexcept>
 
+#include "common/assert.hpp"
 #include "common/string_util.hpp"
 #include "core/ee_pstate.hpp"
 #include "core/greennfv.hpp"
@@ -101,27 +104,61 @@ std::vector<std::vector<std::string>> resolved_chain_nfs(
   return comps;
 }
 
+ChainFlowIndex::ChainFlowIndex(const std::vector<traffic::FlowSpec>& flows)
+    : flows_(&flows) {
+  GNFV_REQUIRE(flows.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "ChainFlowIndex: too many flows");
+  // Counting sort by chain: count into begin_[c + 1], prefix-sum, fill.
+  for (const auto& flow : flows) {
+    GNFV_REQUIRE(flow.chain_index >= 0, "ChainFlowIndex: negative chain");
+    const auto slot = static_cast<std::size_t>(flow.chain_index) + 1;
+    if (slot >= begin_.size()) begin_.resize(slot + 1, 0);
+    ++begin_[slot];
+  }
+  for (std::size_t c = 1; c < begin_.size(); ++c) begin_[c] += begin_[c - 1];
+  std::vector<std::uint32_t> next(begin_);
+  order_.resize(flows.size());
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const auto c = static_cast<std::size_t>(flows[f].chain_index);
+    order_[next[c]++] = static_cast<std::uint32_t>(f);
+  }
+}
+
+std::span<const std::uint32_t> ChainFlowIndex::of(int chain) const {
+  if (chain < 0 || static_cast<std::size_t>(chain) + 1 >= begin_.size())
+    return {};
+  const auto c = static_cast<std::size_t>(chain);
+  return {order_.data() + begin_[c], order_.data() + begin_[c + 1]};
+}
+
 core::EnvConfig partition_node_env(
     const ScenarioSpec& spec,
     const std::vector<std::vector<std::string>>& comps,
-    const std::vector<traffic::FlowSpec>& flows,
+    const ChainFlowIndex& flows_by_chain,
     const std::vector<int>& local_chains, int node) {
   core::EnvConfig env = spec.env_config();
   env.num_chains = static_cast<int>(local_chains.size());
   env.chain_nfs.clear();
   for (const int c : local_chains)
     env.chain_nfs.push_back(comps.at(static_cast<std::size_t>(c)));
+
+  // (flow-list position, local chain), sorted back into flow-list order.
+  std::vector<std::pair<std::uint32_t, int>> picked;
+  for (std::size_t local = 0; local < local_chains.size(); ++local) {
+    for (const std::uint32_t f : flows_by_chain.of(local_chains[local]))
+      picked.emplace_back(f, static_cast<int>(local));
+  }
+  std::sort(picked.begin(), picked.end());
+
   env.flows.clear();
+  env.flows.reserve(picked.size());
   env.total_offered_gbps = 0.0;
-  for (const auto& flow : flows) {
-    for (std::size_t local = 0; local < local_chains.size(); ++local) {
-      if (flow.chain_index != local_chains[local]) continue;
-      traffic::FlowSpec remapped = flow;
-      remapped.id = static_cast<int>(env.flows.size());
-      remapped.chain_index = static_cast<int>(local);
-      env.total_offered_gbps += remapped.mean_rate_gbps();
-      env.flows.push_back(std::move(remapped));
-    }
+  for (const auto& [f, local] : picked) {
+    traffic::FlowSpec remapped = flows_by_chain.flows()[f];
+    remapped.id = static_cast<int>(env.flows.size());
+    remapped.chain_index = local;
+    env.total_offered_gbps += remapped.mean_rate_gbps();
+    env.flows.push_back(std::move(remapped));
   }
   if (env.flows.empty()) {
     throw std::invalid_argument(format(
@@ -244,6 +281,7 @@ ExperimentRunner::ExperimentRunner(ScenarioSpec spec)
 
   // --- cluster: place chains, partition the traffic ----------------------
   const std::vector<traffic::FlowSpec> flows = resolved_flows(spec_);
+  const ChainFlowIndex flows_by_chain(flows);
   const std::vector<std::vector<std::string>> comps =
       resolved_chain_nfs(spec_);
 
@@ -254,8 +292,8 @@ ExperimentRunner::ExperimentRunner(ScenarioSpec spec)
     // Algorithm 1 line 1 allocates one core per NF.
     demand.cores = static_cast<double>(
         comps[static_cast<std::size_t>(c)].size());
-    for (const auto& flow : flows)
-      if (flow.chain_index == c) demand.offered_gbps += flow.mean_rate_gbps();
+    for (const std::uint32_t f : flows_by_chain.of(c))
+      demand.offered_gbps += flows[f].mean_rate_gbps();
     demands.push_back(std::move(demand));
   }
   const std::vector<cluster::NodeCapacity> capacities(
@@ -275,7 +313,7 @@ ExperimentRunner::ExperimentRunner(ScenarioSpec spec)
       continue;
     }
     node_envs_.push_back(
-        partition_node_env(spec_, comps, flows, local_chains, n));
+        partition_node_env(spec_, comps, flows_by_chain, local_chains, n));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -76,14 +77,44 @@ struct SchedulerFactory {
 [[nodiscard]] std::vector<std::vector<std::string>> resolved_chain_nfs(
     const ScenarioSpec& spec);
 
+/// A flow list indexed by chain: for every chain id, the positions of its
+/// flows (FlowSpec::chain_index == id) in the list, ascending. Building it
+/// costs O(flows + chains); after that a node's partition costs only the
+/// node's own flows. Holds a pointer to the list, which must outlive
+/// the index and stay unchanged while it is used.
+class ChainFlowIndex {
+ public:
+  /// Implicit, so a caller holding only the flat list can pass it to
+  /// partition_node_env; callers that partition repeatedly build the index
+  /// once and pass that.
+  ChainFlowIndex(const std::vector<traffic::FlowSpec>& flows);  // NOLINT
+  ChainFlowIndex(std::vector<traffic::FlowSpec>&&) = delete;
+
+  [[nodiscard]] const std::vector<traffic::FlowSpec>& flows() const {
+    return *flows_;
+  }
+
+  /// Positions in flows() of chain `chain`'s flows, ascending; empty for a
+  /// chain without flows.
+  [[nodiscard]] std::span<const std::uint32_t> of(int chain) const;
+
+ private:
+  const std::vector<traffic::FlowSpec>* flows_;
+  /// Chain c's positions are order_[begin_[c], begin_[c + 1]).
+  std::vector<std::uint32_t> begin_;
+  std::vector<std::uint32_t> order_;
+};
+
 /// Builds the evaluation EnvConfig of one node hosting `local_chains`
-/// (indices into `comps`; flows are matched by FlowSpec::chain_index and
-/// remapped to node-local chain indices in flow-list order). Throws
-/// std::invalid_argument when the node would host chains without traffic.
+/// (indices into `comps`). The members' flows are remapped to node-local
+/// chain indices and kept in global flow-list order, not chain by chain:
+/// the traffic generator draws per flow in list order, so the order is
+/// part of the result. Throws std::invalid_argument when the node would
+/// host chains without traffic.
 [[nodiscard]] core::EnvConfig partition_node_env(
     const ScenarioSpec& spec,
     const std::vector<std::vector<std::string>>& comps,
-    const std::vector<traffic::FlowSpec>& flows,
+    const ChainFlowIndex& flows_by_chain,
     const std::vector<int>& local_chains, int node);
 
 struct ModelReport {

@@ -65,6 +65,18 @@ struct Cell {
   scenario::ScenarioSpec spec;
 };
 
+/// A churnier 5-node fleet-smoke: multi-chain nodes host the interleaved
+/// initial chains next to a steady stream of arrivals.
+scenario::ScenarioSpec churn_spec() {
+  scenario::ScenarioSpec spec = scenario::preset("fleet-smoke");
+  spec.seed = 7;
+  spec.num_nodes = 5;
+  spec.fleet.horizon_windows = 24;
+  spec.fleet.arrival_rate = 1.5;
+  spec.fleet.mean_holding_windows = 4.0;
+  return spec;
+}
+
 /// The pinned cells: the fleet-smoke preset under all four policies, a
 /// churnier 5-node consolidation cell, and a wake-heavy cell that sleeps
 /// aggressively so migrations land on gated nodes.
@@ -77,15 +89,7 @@ std::vector<Cell> timeline_cells() {
     cell.spec.fleet.policy = policy;
     cells.push_back(std::move(cell));
   }
-  {
-    Cell cell{"fleet-churn", scenario::preset("fleet-smoke")};
-    cell.spec.seed = 7;
-    cell.spec.num_nodes = 5;
-    cell.spec.fleet.horizon_windows = 24;
-    cell.spec.fleet.arrival_rate = 1.5;
-    cell.spec.fleet.mean_holding_windows = 4.0;
-    cells.push_back(std::move(cell));
-  }
+  cells.push_back({"fleet-churn", churn_spec()});
   {
     Cell cell{"fleet-wake", scenario::preset("fleet-smoke")};
     cell.spec.seed = 3;
@@ -241,9 +245,7 @@ TEST(FleetGolden, ChurnEvalMatchesPinnedHistory) {
   // interleaved initial chains (flow i serves chain i % num_chains) next to
   // mid-run arrivals, so every rebuild's partition must keep the fleet's
   // global flow order for the per-node traffic draws to stay put.
-  scenario::ScenarioSpec spec;
-  for (const auto& cell : timeline_cells())
-    if (cell.name == "fleet-churn") spec = cell.spec;
+  const scenario::ScenarioSpec spec = churn_spec();
   FleetOrchestrator orchestrator(spec);
   const FleetReport report = orchestrator.run(scenario::filter_roster(
       scenario::untrained_roster(spec), "baseline,ee-pstate"));
